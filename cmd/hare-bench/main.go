@@ -1,23 +1,24 @@
 // Command hare-bench regenerates the tables and figures of the paper's
-// evaluation section (§5) on the simulated machine.
+// evaluation section (§5) on the simulated machine, and runs the sweeps that
+// measure each technique added past the paper.
 //
 // Usage:
 //
-//	hare-bench [-fig N] [-scale F] [-cores N] [-bench name] [-durability]
-//	           [-pipeline] [-datapath] [-elastic] [-failover] [-obs]
-//	           [-baseline path] [-trace out.json]
+//	hare-bench [-fig N] [-scale F] [-cores N] [-bench name]
+//	hare-bench -sweep NAME [-scale F] [-cores N] [-bench name] [-baseline path]
+//	hare-bench -trace out.json [-bench name] [-scale F] [-cores N]
 //
-// With no -fig flag every experiment is run in order. The -scale flag
+// With no -fig flag every paper experiment is run in order. The -scale flag
 // shrinks the workload iteration counts (1.0 reproduces the default sizes;
 // smaller values finish faster), and -bench restricts the run to a single
 // benchmark where applicable.
 //
-// The -durability flag runs the write-ahead-log figures instead of the
-// paper's (the paper scopes durability out; DESIGN.md §6 describes the
-// subsystem): a group-commit interval sweep showing logging overhead and
-// flush amortization, a recovery-time comparison of pure log replay versus
-// checkpoint + tail, and the self-verifying crash-injection workload that
-// kills and recovers every file server mid-run.
+// -sweep runs one named A/B sweep instead of the paper's figures: pipeline,
+// datapath, elastic, failover, durability, obs or scale. Every sweep prints
+// one table per part and, with -baseline, writes its points in the one JSON
+// schema of the committed BENCH_*.json files. The scale sweep takes its
+// rungs as an argument, e.g. -sweep scale=64:64000 (default: the committed
+// BENCH_scale.json rungs), and ignores -scale and -cores.
 package main
 
 import (
@@ -27,6 +28,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/trace"
@@ -40,16 +42,9 @@ func main() {
 		cores      = flag.Int("cores", 40, "size of the simulated machine")
 		benchName  = flag.String("bench", "", "restrict to a single benchmark (e.g. \"creates\")")
 		repoRoot   = flag.String("root", ".", "repository root (for the Figure 4 SLOC count)")
-		durability = flag.Bool("durability", false, "run the durability figures (group-commit sweep, recovery time, crash-injection check) instead of the paper's")
-		pipeline   = flag.Bool("pipeline", false, "run the async-RPC pipelining sweep (on/off × server counts) instead of the paper's figures")
-		datapath   = flag.Bool("datapath", false, "run the zero-waste data-path sweep (dirty-line writeback + version-skip invalidation, on/off × server counts) instead of the paper's figures")
-		elastic    = flag.Bool("elastic", false, "run the elastic sweep (scale-out under load, ring vs modulo placement) instead of the paper's figures")
-		failover   = flag.Bool("failover", false, "run the failover sweep (replication off/sync/async: shipping overhead, replay vs promotion stall) instead of the paper's figures")
-		obs        = flag.Bool("obs", false, "run the tracing-overhead sweep (off vs 1-in-64 sampled vs full tracing) instead of the paper's figures")
+		sweep      = flag.String("sweep", "", "run this sweep instead of the paper's figures: "+strings.Join(bench.SweepNames, ", ")+"; scale takes rungs, e.g. scale=8:125000,64:1000000")
 		traceOut   = flag.String("trace", "", "run one benchmark (-bench, default smallfile) with full tracing and export the span tree as Chrome trace_event JSON to this path (open in Perfetto)")
-		baseline   = flag.String("baseline", "", "with -pipeline, -datapath, -elastic, -obs or -scalesweep: also write the sweep as a JSON baseline to this path (e.g. BENCH_seed.json, BENCH_scale.json)")
-		scaleSweep = flag.String("scalesweep", "", "run the harness-scaling sweep at these rungs (\"64\" or \"8:125000,64:1000000\"; \"default\" = the committed BENCH_scale.json rungs) instead of the paper's figures")
-		parallel   = flag.Bool("parallel", false, "with -scalesweep: run under the parallel virtual-time engine instead of the serialized default")
+		baseline   = flag.String("baseline", "", "with -sweep: also write the sweep's points as JSON to this path (e.g. BENCH_pipeline.json)")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this path (see PROFILING.md)")
 		memProfile = flag.String("memprofile", "", "write a pprof allocation profile at exit to this path (see PROFILING.md)")
 	)
@@ -95,25 +90,36 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *scaleSweep != "" {
-		if *fig != 0 || *durability || *pipeline || *datapath || *elastic || *failover || *obs || *traceOut != "" || *benchName != "" {
-			fail(fmt.Errorf("-scalesweep runs its own figure set and cannot be combined with other figure-set flags"))
-		}
-		var rungs []bench.ScaleRung
-		if *scaleSweep != "default" {
-			var err error
-			rungs, err = bench.ParseScaleRungs(*scaleSweep)
-			if err != nil {
-				fail(err)
-			}
-		}
-		data, t, err := bench.ScaleSweepFigure(rungs, *parallel)
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := conflict(set); err != nil {
+		fail(err)
+	}
+
+	if *sweep != "" {
+		sweeps, err := bench.LookupSweep(*sweep)
 		if err != nil {
 			fail(err)
 		}
-		fmt.Println(t.Render())
+		var points []bench.Point
+		for _, s := range sweeps {
+			if *benchName != "" {
+				s.Cases = onlyBench(s.Cases, *benchName)
+			}
+			ps, err := s.Run(*scale, *cores)
+			if err != nil {
+				fail(err)
+			}
+			if len(ps) > 0 {
+				fmt.Println(s.Table(ps).Render())
+			}
+			points = append(points, ps...)
+		}
+		if len(points) == 0 {
+			fail(fmt.Errorf("sweep %s measured nothing (no case fits -cores %d, or none runs -bench %q)", *sweep, *cores, *benchName))
+		}
 		if *baseline != "" {
-			if err := data.WriteBaseline(*baseline); err != nil {
+			if err := bench.WriteBaseline(*baseline, *sweep, *scale, *cores, points); err != nil {
 				fail(err)
 			}
 			fmt.Printf("baseline written to %s\n", *baseline)
@@ -122,9 +128,6 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		if *fig != 0 || *durability || *pipeline || *datapath || *elastic || *obs {
-			fail(fmt.Errorf("-trace runs a single traced benchmark and cannot be combined with figure-set flags"))
-		}
 		var w workload.Workload = workload.SmallFile{}
 		if *benchName != "" {
 			var ok bool
@@ -155,142 +158,6 @@ func main() {
 		return
 	}
 
-	if *obs {
-		if *durability || *pipeline || *datapath || *elastic || *fig != 0 {
-			fail(fmt.Errorf("-obs runs its own figure set and cannot be combined with -durability, -pipeline, -datapath, -elastic or -fig"))
-		}
-		var ws []workload.Workload
-		if *benchName != "" {
-			w, ok := workload.ByName(*benchName)
-			if !ok {
-				fail(fmt.Errorf("unknown benchmark %q; available: %v", *benchName, workload.Names()))
-			}
-			ws = []workload.Workload{w}
-		}
-		data, t, err := bench.ObsFigure(*scale, *cores, ws)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(t.Render())
-		if *baseline != "" {
-			if err := data.WriteBaseline(*baseline); err != nil {
-				fail(err)
-			}
-			fmt.Printf("baseline written to %s\n", *baseline)
-		}
-		return
-	}
-
-	if *failover {
-		if *durability || *pipeline || *datapath || *elastic || *obs || *fig != 0 || *benchName != "" {
-			fail(fmt.Errorf("-failover runs its own figure set and cannot be combined with -durability, -pipeline, -datapath, -elastic, -obs, -bench or -fig"))
-		}
-		data, t, err := bench.FailoverFigure(*scale, *cores)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(t.Render())
-		if *baseline != "" {
-			if err := data.WriteBaseline(*baseline); err != nil {
-				fail(err)
-			}
-			fmt.Printf("baseline written to %s\n", *baseline)
-		}
-		return
-	}
-
-	if *elastic {
-		if *durability || *pipeline || *datapath || *fig != 0 || *benchName != "" {
-			fail(fmt.Errorf("-elastic runs its own figure set and cannot be combined with -durability, -pipeline, -datapath, -bench or -fig"))
-		}
-		data, t, err := bench.ElasticFigure(*scale, *cores, nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(t.Render())
-		if *baseline != "" {
-			if err := data.WriteBaseline(*baseline); err != nil {
-				fail(err)
-			}
-			fmt.Printf("baseline written to %s\n", *baseline)
-		}
-		return
-	}
-
-	if *datapath {
-		if *durability || *pipeline || *fig != 0 {
-			fail(fmt.Errorf("-datapath runs its own figure set and cannot be combined with -durability, -pipeline or -fig"))
-		}
-		var ws []workload.Workload
-		if *benchName != "" {
-			w, ok := workload.ByName(*benchName)
-			if !ok {
-				fail(fmt.Errorf("unknown benchmark %q; available: %v", *benchName, workload.Names()))
-			}
-			ws = []workload.Workload{w}
-		}
-		data, t, err := bench.DatapathFigure(*scale, *cores, nil, ws)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(t.Render())
-		if *baseline != "" {
-			if err := data.WriteBaseline(*baseline); err != nil {
-				fail(err)
-			}
-			fmt.Printf("baseline written to %s\n", *baseline)
-		}
-		return
-	}
-
-	if *pipeline {
-		if *durability || *fig != 0 {
-			fail(fmt.Errorf("-pipeline runs its own figure set and cannot be combined with -durability or -fig"))
-		}
-		var ws []workload.Workload
-		if *benchName != "" {
-			w, ok := workload.ByName(*benchName)
-			if !ok {
-				fail(fmt.Errorf("unknown benchmark %q; available: %v", *benchName, workload.Names()))
-			}
-			ws = []workload.Workload{w}
-		}
-		data, t, err := bench.PipelineFigure(*scale, *cores, nil, ws)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(t.Render())
-		if *baseline != "" {
-			if err := data.WriteBaseline(*baseline); err != nil {
-				fail(err)
-			}
-			fmt.Printf("baseline written to %s\n", *baseline)
-		}
-		return
-	}
-
-	if *durability {
-		if *benchName != "" || *fig != 0 {
-			fail(fmt.Errorf("-durability runs its own figure set and cannot be combined with -bench or -fig"))
-		}
-		t, err := bench.DurabilityOverhead(*scale, *cores, nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(t.Render())
-		t, err = bench.RecoveryTime(*scale, *cores)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(t.Render())
-		t, err = bench.CrashWorkloadCheck(*scale, *cores)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(t.Render())
-		return
-	}
-
 	ws := workload.All()
 	if *benchName != "" {
 		w, ok := workload.ByName(*benchName)
@@ -300,7 +167,7 @@ func main() {
 		}
 		for _, fw := range workload.FaultBenchmarks() {
 			if fw.Name() == w.Name() {
-				fail(fmt.Errorf("benchmark %q needs a fault-injecting backend; run it via -durability", w.Name()))
+				fail(fmt.Errorf("benchmark %q needs a fault-injecting backend; run it via -sweep durability", w.Name()))
 			}
 		}
 		ws = []workload.Workload{w}
@@ -387,3 +254,35 @@ func latencyTable(r bench.Result) *bench.Table {
 }
 
 func cyc(v uint64) string { return fmt.Sprintf("%d", v) }
+
+// conflict rejects flag combinations that would silently drop one mode:
+// -sweep, -trace and -fig each select what runs.
+func conflict(set map[string]bool) error {
+	modes := 0
+	for _, f := range []string{"sweep", "trace", "fig"} {
+		if set[f] {
+			modes++
+		}
+	}
+	if modes > 1 {
+		return fmt.Errorf("-sweep, -trace and -fig each select what runs; pass only one of them")
+	}
+	if set["baseline"] && !set["sweep"] {
+		return fmt.Errorf("-baseline writes a sweep's points and needs -sweep")
+	}
+	return nil
+}
+
+// onlyBench keeps the cases that run the named benchmark.
+func onlyBench(cases []bench.Case, name string) []bench.Case {
+	var out []bench.Case
+	for _, c := range cases {
+		for _, w := range c.Workloads {
+			if w.Name() == name {
+				out = append(out, c)
+				break
+			}
+		}
+	}
+	return out
+}

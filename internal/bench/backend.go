@@ -13,11 +13,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/fsapi"
 	"repro/internal/place"
+	"repro/internal/repl"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -36,21 +35,13 @@ type Backend struct {
 	// Faults exposes crash/recover/checkpoint on backends that support
 	// fault injection (Hare with durability enabled); nil otherwise.
 	Faults workload.FaultInjector
-	// WalStats reports per-server write-ahead-log counters; nil when the
-	// backend has no durability subsystem.
-	WalStats func() []wal.Stats
-	// Econ reports the deployment's cumulative message-economy counters;
-	// nil on backends without a message layer (the baselines).
-	Econ func() stats.Economy
-	// Loads reports cumulative requests served per file server (for the
-	// load-imbalance metric); nil on the baselines.
-	Loads func() []uint64
 	// Elastic exposes online server add/drain on backends configured with
 	// growth headroom (Hare with MaxServers > Servers); nil otherwise.
 	Elastic workload.ElasticController
-	// Tracer is the deployment's request tracer (DESIGN.md §11); nil when
-	// tracing is disabled or the backend has no trace support.
-	Tracer *trace.Tracer
+	// Sys is the Hare deployment itself, source of the message-economy,
+	// per-server load, WAL, replication and tracing counters; nil on the
+	// baselines, which have no message layer.
+	Sys *core.System
 }
 
 // sysFaults adapts core.System to the workload fault-injection interface.
@@ -74,8 +65,10 @@ type HareOptions struct {
 	Servers    int  // 0 means one server per core
 	Timeshare  bool // servers share cores with applications
 	Techniques core.Techniques
-	Seed       uint64
 	Durability core.Durability
+	// Replication ships each server's WAL to a follower (DESIGN.md §12);
+	// it needs Durability and at least two servers.
+	Replication repl.Config
 
 	// MaxServers > Servers gives the deployment growth headroom and
 	// exposes the elastic controller to workloads; PlacePolicy selects
@@ -90,7 +83,7 @@ type HareOptions struct {
 	// Parallel installs the parallel virtual-time engine (DESIGN.md §13)
 	// before any workload runs: servers advance concurrently, gated by the
 	// conservative lane frontiers, instead of serializing on one global
-	// virtual-time chain. Incompatible with Replication.
+	// virtual-time chain.
 	Parallel bool
 }
 
@@ -110,9 +103,9 @@ func HareFactory(opts HareOptions) Factory {
 			Timeshare:       opts.Timeshare,
 			Techniques:      opts.Techniques,
 			Placement:       placement,
-			Seed:            opts.Seed,
 			RootDistributed: false,
 			Durability:      opts.Durability,
+			Replication:     opts.Replication,
 			MaxServers:      opts.MaxServers,
 			PlacePolicy:     opts.PlacePolicy,
 			Trace:           opts.Trace,
@@ -145,9 +138,7 @@ func HareFactory(opts HareOptions) Factory {
 			Now:     sys.Procs().MaxEndTime,
 			Seconds: sys.Seconds,
 			Close:   sys.Stop,
-			Econ:    sys.MessageEconomy,
-			Loads:   sys.ServerLoads,
-			Tracer:  sys.Tracer(),
+			Sys:     sys,
 		}
 		if cfg.MaxServers > cfg.Servers {
 			b.Name += "+elastic"
@@ -156,7 +147,6 @@ func HareFactory(opts HareOptions) Factory {
 		if cfg.Durability.Enabled {
 			b.Name += "+wal"
 			b.Faults = sysFaults{sys}
-			b.WalStats = sys.WalStats
 		}
 		return b, nil
 	}

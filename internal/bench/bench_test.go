@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -178,6 +179,49 @@ func TestFigure4SLOC(t *testing.T) {
 	last := tbl.Rows[len(tbl.Rows)-1]
 	if last[0] != "Total" {
 		t.Fatal("last row should be the total")
+	}
+}
+
+// TestSLOCComponentsCoverRepo pins that hare-sloc counts every package:
+// each directory under internal/ and cmd/ holding non-test Go files falls in
+// exactly one component.
+func TestSLOCComponentsCoverRepo(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := map[string]bool{}
+	for _, top := range []string{"internal", "cmd"} {
+		err := filepath.Walk(filepath.Join(root, top), func(path string, fi os.FileInfo, err error) error {
+			if err != nil {
+				return err
+			}
+			if !fi.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+				rel, err := filepath.Rel(root, filepath.Dir(path))
+				dirs[filepath.ToSlash(rel)] = true
+				return err
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(dirs) == 0 {
+		t.Fatal("found no Go packages")
+	}
+	for dir := range dirs {
+		var owners []string
+		for _, c := range SLOCComponents() {
+			for _, p := range c.Paths {
+				if dir == p || strings.HasPrefix(dir, p+"/") {
+					owners = append(owners, c.Name)
+				}
+			}
+		}
+		if len(owners) != 1 {
+			t.Errorf("%s is counted by %d components %v, want exactly 1", dir, len(owners), owners)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -49,67 +50,83 @@ func RunWorkload(f Factory, w workload.Workload, scale float64) (Result, error) 
 		return Result{}, err
 	}
 	defer b.Close()
+	return b.run([]workload.Workload{w}, scale, nil, nil)
+}
 
+// run runs ws back to back on b, each workload's setup and then its timed
+// region, and sums the timed regions: setup is never measured. The op mix,
+// latencies and spans cover the last region only. beforeLast, when non-nil,
+// runs just before the last workload's setup; host, when non-nil, measures
+// the timed regions' host cost.
+func (b *Backend) run(ws []workload.Workload, scale float64, beforeLast func() error, host *hostCost) (Result, error) {
 	counter := workload.NewOpCounter()
 	env := &workload.Env{Procs: b.Procs, Cores: b.Cores, Counter: counter, Scale: scale, Faults: b.Faults, Elastic: b.Elastic}
-	if err := w.Setup(env); err != nil {
-		return Result{}, fmt.Errorf("bench: %s setup on %s: %w", w.Name(), b.Name, err)
-	}
-	start := b.Now()
-	counter.Reset()
-	// Restrict the latency histograms and span ring to the timed region.
-	b.Tracer.Reset()
-	var econBase stats.Economy
-	if b.Econ != nil {
-		econBase = b.Econ()
-	}
-	var loadsBase []uint64
-	if b.Loads != nil {
-		loadsBase = b.Loads()
-	}
-	ops, err := w.Run(env)
-	if err != nil {
-		return Result{}, fmt.Errorf("bench: %s run on %s: %w", w.Name(), b.Name, err)
-	}
-	end := b.Now()
-	elapsed := end - start
-	if elapsed == 0 {
-		elapsed = 1
-	}
-	secs := b.Seconds(elapsed)
-	if ops <= 0 {
-		ops = int(counter.Total())
-	}
-	r := Result{
-		Benchmark:  w.Name(),
-		Backend:    b.Name,
-		Ops:        ops,
-		Elapsed:    elapsed,
-		Seconds:    secs,
-		Throughput: float64(ops) / secs,
-		OpMix:      counter.Breakdown(),
-		OpTotal:    counter.Total(),
-	}
-	if b.Econ != nil {
-		e := b.Econ().Sub(econBase)
-		r.Econ = &e
-	}
-	if b.Loads != nil {
-		// The fleet may have grown mid-run; servers beyond the base
-		// snapshot started from zero.
-		loads := b.Loads()
-		delta := make([]uint64, len(loads))
-		for i, l := range loads {
-			if i < len(loadsBase) {
-				l -= loadsBase[i]
+	r := Result{Backend: b.Name}
+	var econ stats.Economy
+	var loads []uint64
+	names := make([]string, len(ws))
+	for i, w := range ws {
+		names[i] = w.Name()
+		if i == len(ws)-1 && beforeLast != nil {
+			if err := beforeLast(); err != nil {
+				return Result{}, err
 			}
-			delta[i] = l
 		}
-		r.Imbalance = stats.Imbalance(delta)
+		if err := w.Setup(env); err != nil {
+			return Result{}, fmt.Errorf("bench: %s setup on %s: %w", w.Name(), b.Name, err)
+		}
+		counter.Reset()
+		var econBase stats.Economy
+		var loadsBase []uint64
+		if b.Sys != nil {
+			// Restrict the latency histograms and span ring to the timed region.
+			b.Sys.Tracer().Reset()
+			econBase = b.Sys.MessageEconomy()
+			loadsBase = b.Sys.ServerLoads()
+		}
+		start := b.Now()
+		host.begin()
+		ops, err := w.Run(env)
+		if err != nil {
+			return Result{}, fmt.Errorf("bench: %s run on %s: %w", w.Name(), b.Name, err)
+		}
+		host.end()
+		r.Elapsed += b.Now() - start
+		if ops <= 0 {
+			ops = int(counter.Total())
+		}
+		r.Ops += ops
+		if b.Sys != nil {
+			econ = econ.Add(b.Sys.MessageEconomy().Sub(econBase))
+			// The fleet may have grown mid-run; servers beyond the base
+			// snapshot started from zero.
+			for i, l := range b.Sys.ServerLoads() {
+				if i < len(loadsBase) {
+					l -= loadsBase[i]
+				}
+				if i < len(loads) {
+					loads[i] += l
+				} else {
+					loads = append(loads, l)
+				}
+			}
+		}
 	}
-	if b.Tracer != nil {
-		r.Lat = b.Tracer.OpQuantiles()
-		r.Spans = b.Tracer.Spans()
+	if r.Elapsed == 0 {
+		r.Elapsed = 1
+	}
+	r.Benchmark = strings.Join(names, "+")
+	r.Seconds = b.Seconds(r.Elapsed)
+	r.Throughput = float64(r.Ops) / r.Seconds
+	r.OpMix = counter.Breakdown()
+	r.OpTotal = counter.Total()
+	if b.Sys != nil {
+		r.Econ = &econ
+		r.Imbalance = stats.Imbalance(loads)
+		if tr := b.Sys.Tracer(); tr != nil {
+			r.Lat = tr.OpQuantiles()
+			r.Spans = tr.Spans()
+		}
 	}
 	return r, nil
 }

@@ -23,10 +23,14 @@ func SLOCComponents() []SLOCComponent {
 		{"Memory system (ncc)", []string{"internal/ncc", "internal/sim"}},
 		{"Client library", []string{"internal/client", "internal/fsapi"}},
 		{"File system server", []string{"internal/server"}},
+		{"Durability & replication", []string{"internal/wal", "internal/repl"}},
+		{"Placement & tables", []string{"internal/place", "internal/table"}},
+		{"Tracing", []string{"internal/trace"}},
 		{"Scheduling", []string{"internal/sched"}},
 		{"System assembly", []string{"internal/core", "hare.go", "doc.go"}},
 		{"Baselines", []string{"internal/baseline"}},
 		{"Workloads & harness", []string{"internal/workload", "internal/bench", "internal/stats"}},
+		{"Chaos & shadow oracles", []string{"internal/chaos", "internal/shadow"}},
 		{"Tools & examples", []string{"cmd", "examples"}},
 	}
 }
