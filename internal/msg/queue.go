@@ -58,9 +58,10 @@ type Queue struct {
 	closed  bool
 
 	// gateSub is the gate this queue's cond is subscribed to (gated consumers
-	// only); subscribing is idempotent but the pointer check keeps the common
-	// path to a field load.
+	// only) and gateW the registration it returned; subscribing is idempotent
+	// but the pointer check keeps the common path to a field load.
 	gateSub *sim.Gate
+	gateW   *sim.Waiter
 }
 
 // NewQueue returns an empty queue.
@@ -174,6 +175,7 @@ func (q *Queue) recycle() {
 	q.closed = false
 	q.mode = modeFIFO
 	q.gateSub = nil
+	q.gateW = nil
 	q.mu.Unlock()
 }
 
@@ -246,7 +248,7 @@ func (q *Queue) PopWaitEarliestGated(g *sim.Gate) (Envelope, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.gateSub != g {
-		g.Subscribe(q.cond)
+		q.gateW = g.Subscribe(q.cond)
 		q.gateSub = g
 	}
 	for {
@@ -260,20 +262,21 @@ func (q *Queue) PopWaitEarliestGated(g *sim.Gate) (Envelope, bool) {
 		// A closed queue bypasses the gate: the consumer has crashed and its
 		// loop must regain control to exit (it parks the popped envelope back
 		// for after recovery), exactly as the ungated path unblocks on Close.
-		if q.closed || g.SafeAt(q.items[0].env.ArriveAt) {
+		head := q.items[0].env.ArriveAt
+		if q.closed || g.SafeAt(head) {
 			return q.popRoot(), true
 		}
-		// Not yet safe. Count ourselves as a gate waiter *before* the final
-		// re-check (see Gate.BeginWait for why this ordering closes the
+		// Not yet safe. Publish the head we block on *before* the final
+		// re-check (see Waiter.Begin for why this ordering closes the
 		// wakeup race), then sleep until a push, a close, or a frontier
-		// advance signals the cond.
-		g.BeginWait()
-		if g.SafeAt(q.items[0].env.ArriveAt) {
-			g.EndWait()
+		// move that releases this head signals the cond.
+		q.gateW.Begin(head)
+		if g.SafeAt(head) {
+			q.gateW.End()
 			return q.popRoot(), true
 		}
 		q.cond.Wait()
-		g.EndWait()
+		q.gateW.End()
 	}
 }
 

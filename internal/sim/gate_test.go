@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -179,7 +182,7 @@ func TestGateSafeAtAllocs(t *testing.T) {
 	}
 }
 
-// TestGateWaiterWakesOnBump: a consumer blocked on the waiter list is woken
+// TestGateWaiterWakesOnBump: a consumer blocked on a published head is woken
 // when the pinning lane's frontier advances past its arrival. This is the
 // condition-variable replacement for the old spin/sleep Pause poll.
 func TestGateWaiterWakesOnBump(t *testing.T) {
@@ -187,18 +190,18 @@ func TestGateWaiterWakesOnBump(t *testing.T) {
 	g.Bump(0, 10) // pins the safe time at 10
 	var mu sync.Mutex
 	c := sync.NewCond(&mu)
-	g.Subscribe(c)
+	w := g.Subscribe(c)
 	woke := make(chan struct{})
 	go func() {
 		mu.Lock()
 		for {
-			g.BeginWait()
+			w.Begin(100)
 			if g.SafeAt(100) {
-				g.EndWait()
+				w.End()
 				break
 			}
 			c.Wait()
-			g.EndWait()
+			w.End()
 		}
 		mu.Unlock()
 		close(woke)
@@ -219,18 +222,18 @@ func TestGateWaiterWakesOnIdle(t *testing.T) {
 	g.Bump(0, 10)
 	var mu sync.Mutex
 	c := sync.NewCond(&mu)
-	g.Subscribe(c)
+	w := g.Subscribe(c)
 	woke := make(chan struct{})
 	go func() {
 		mu.Lock()
 		for {
-			g.BeginWait()
+			w.Begin(100)
 			if g.SafeAt(100) {
-				g.EndWait()
+				w.End()
 				break
 			}
 			c.Wait()
-			g.EndWait()
+			w.End()
 		}
 		mu.Unlock()
 		close(woke)
@@ -245,46 +248,53 @@ func TestGateWaiterWakesOnIdle(t *testing.T) {
 }
 
 // TestGateSubscribeIdempotent: re-subscribing the same cond must not grow the
-// broadcast list (a consumer subscribes once per gate, defensively retried).
+// subscriber list (a consumer subscribes once per gate, defensively retried)
+// and must return the same registration.
 func TestGateSubscribeIdempotent(t *testing.T) {
 	g := NewGate()
 	var mu sync.Mutex
 	c := sync.NewCond(&mu)
-	g.Subscribe(c)
-	g.Subscribe(c)
+	w1 := g.Subscribe(c)
+	w2 := g.Subscribe(c)
 	if n := len(*g.subs.Load()); n != 1 {
 		t.Fatalf("subscriber list has %d entries, want 1", n)
 	}
+	if w1 != w2 {
+		t.Fatal("re-subscribing returned a second registration")
+	}
 }
 
-// TestGateWakePathAllocs: the wake path — frontier raises and lane parks
-// broadcast to a live waiter — must not allocate. Together with
-// TestGateSafeAtAllocs this keeps the whole gate wait path at 0 allocs/op.
+// TestGateWakePathAllocs: the wake path — a frontier raise that releases a
+// live waiter's head, lane parks, resumes and joins — must not allocate.
+// Together with TestGateSafeAtAllocs this keeps the whole gate wait path at
+// 0 allocs/op.
 func TestGateWakePathAllocs(t *testing.T) {
 	g := NewGate()
-	g.Bump(0, 10)
+	g.Bump(0, 10) // pins the safe time below the waiter's head
 	var mu sync.Mutex
 	c := sync.NewCond(&mu)
-	g.Subscribe(c)
+	w := g.Subscribe(c)
 	stop := false
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		mu.Lock()
 		for !stop {
-			g.BeginWait()
+			w.Begin(50)
 			c.Wait()
-			g.EndWait()
+			w.End()
 		}
 		mu.Unlock()
 	}()
-	time.Sleep(5 * time.Millisecond) // park the waiter so wake() broadcasts
+	time.Sleep(5 * time.Millisecond) // park the waiter so the raise signals
 	var tt Cycles = 100
 	allocs := testing.AllocsPerRun(200, func() {
 		tt++
-		g.Bump(0, tt)   // finite raise: wakes
-		g.Idle(1)       // park: wakes
-		g.Resume(1, tt) // resume: cache floor
+		g.Bump(0, 60)   // finite raise past the head: releases and signals
+		g.Idle(0)       // park
+		g.Resume(0, 10) // resume: re-pins below the head
+		g.Idle(1)       // park another lane
+		g.Bump(1, tt)   // and re-join it
 	})
 	mu.Lock()
 	stop = true
@@ -293,6 +303,185 @@ func TestGateWakePathAllocs(t *testing.T) {
 	<-done
 	if allocs != 0 {
 		t.Fatalf("gate wake path allocated %.1f/op, want 0", allocs)
+	}
+}
+
+// countingLocker counts how often a gate locks a consumer's cond.
+type countingLocker struct {
+	sync.Mutex
+	locks atomic.Int32
+}
+
+func (c *countingLocker) Lock() {
+	c.locks.Add(1)
+	c.Mutex.Lock()
+}
+
+// TestGateNoFutileWakeups: a frontier move signals only the consumers it
+// releases. A raise that leaves a waiter's head unsafe, or that comes from a
+// lane that was not holding the waiter, never touches the waiter's cond.
+func TestGateNoFutileWakeups(t *testing.T) {
+	g := NewGate()
+	g.Bump(0, 100)
+	g.Bump(1, 200)
+	g.Bump(2, 1000)
+	var la, lb countingLocker
+	a := g.Subscribe(sync.NewCond(&la))
+	b := g.Subscribe(sync.NewCond(&lb))
+	a.Begin(150) // held by lane 0
+	b.Begin(300) // held by lanes 0 and 1
+	want := func(step string, wa, wb int32) {
+		t.Helper()
+		if la.locks.Load() != wa || lb.locks.Load() != wb {
+			t.Fatalf("%s: cond locks a=%d b=%d, want a=%d b=%d",
+				step, la.locks.Load(), lb.locks.Load(), wa, wb)
+		}
+	}
+	g.Bump(0, 120)
+	want("raise short of both heads", 0, 0)
+	g.Bump(2, 2000)
+	g.Idle(2)
+	want("lane 2 holds neither waiter", 0, 0)
+	g.Bump(0, 250)
+	want("lane 0 passes a's head; lane 1 is past it too", 1, 0)
+	g.Idle(0)
+	want("lane 0 releases its hold on b, but lane 1 still holds it", 1, 0)
+	g.Bump(1, 250)
+	want("lane 1 raise short of b's head", 1, 0)
+	g.Bump(1, 300)
+	want("lane 1 passes b's head, the last hold", 1, 1)
+	g.Bump(1, 5000)
+	want("no head left between the old and new frontier", 1, 1)
+	a.End()
+	b.End()
+}
+
+// TestGateNoLostWakeups: many lanes bump, idle and resume concurrently while
+// many consumers block on random heads just ahead of the slowest lane. Every
+// consumer must return once its head is safe. A lost wakeup hangs its
+// consumer for good: once the last lane holding a head has passed it, no
+// later move qualifies that head again.
+func TestGateNoLostWakeups(t *testing.T) {
+	const lanes, waiters, heads = 16, 16, 2000
+	g := NewGate()
+	for l := 0; l < lanes; l++ {
+		g.Bump(l, 0)
+	}
+	var stop atomic.Bool
+	var lw sync.WaitGroup
+	for l := 0; l < lanes; l++ {
+		lw.Add(1)
+		go func(l int) {
+			defer lw.Done()
+			rng := rand.New(rand.NewSource(int64(l)))
+			var ft Cycles
+			for !stop.Load() {
+				ft += Cycles(1 + rng.Intn(20))
+				if rng.Intn(16) == 0 {
+					g.Idle(l)
+					runtime.Gosched()
+					g.Resume(l, ft)
+				} else {
+					g.Bump(l, ft)
+				}
+				runtime.Gosched()
+			}
+			g.Idle(l)
+		}(l)
+	}
+	var ww sync.WaitGroup
+	for i := 0; i < waiters; i++ {
+		ww.Add(1)
+		go func(i int) {
+			defer ww.Done()
+			var mu sync.Mutex
+			c := sync.NewCond(&mu)
+			w := g.Subscribe(c)
+			rng := rand.New(rand.NewSource(int64(1000 + i)))
+			mu.Lock()
+			defer mu.Unlock()
+			for k := 0; k < heads; k++ {
+				h := Cycles(rng.Intn(40))
+				if m := g.minFrontier(); m != laneIdle {
+					h += Cycles(m - 1) // just ahead of the slowest lane
+				}
+				for {
+					w.Begin(h)
+					if g.SafeAt(h) {
+						w.End()
+						break
+					}
+					c.Wait()
+					w.End()
+				}
+			}
+		}(i)
+	}
+	done := make(chan struct{})
+	go func() {
+		ww.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Error("a consumer blocked on a head the lanes passed was never woken: lost wakeup")
+	}
+	stop.Store(true)
+	lw.Wait()
+}
+
+// TestGateActiveSetInvariant: after random join, raise, idle and resume
+// sequences the active set holds exactly the lanes with a finite frontier,
+// each once and at its recorded slot, and SafeAt agrees with a brute-force
+// minimum over every lane.
+func TestGateActiveSetInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g := NewGate()
+	check := func(step int) {
+		t.Helper()
+		slots := *g.active.Load()
+		members := map[*laneFrontier]bool{}
+		for i := 0; i < int(g.nActive.Load()); i++ {
+			l := slots[i].Load()
+			if members[l] || int(l.pos) != i {
+				t.Fatalf("step %d: slot %d holds a duplicate or misplaced lane", step, i)
+			}
+			members[l] = true
+		}
+		min := uint64(laneIdle)
+		for id, l := range *g.lanes.Load() {
+			v := l.v.Load()
+			if finite(v) != members[l] {
+				t.Fatalf("step %d: lane %d frontier %d, active-set member %v", step, id, v, members[l])
+			}
+			if finite(v) && v < min {
+				min = v
+			}
+		}
+		if min == laneIdle {
+			if !g.SafeAt(1 << 40) {
+				t.Fatalf("step %d: no finite lane, yet unsafe", step)
+			}
+			return
+		}
+		at := Cycles(min - 1) // decode
+		if !g.SafeAt(at) || g.SafeAt(at+1) {
+			t.Fatalf("step %d: SafeAt disagrees with the minimum frontier %d", step, at)
+		}
+	}
+	for step := 0; step < 20000; step++ {
+		id := rng.Intn(40)
+		at := Cycles(rng.Intn(1000))
+		switch rng.Intn(4) {
+		case 0, 1:
+			g.Bump(id, at)
+		case 2:
+			g.Idle(id)
+		case 3:
+			g.Resume(id, at)
+		}
+		check(step)
 	}
 }
 
